@@ -13,7 +13,6 @@ import (
 	"context"
 	"fmt"
 	"testing"
-	"time"
 
 	"ndpcr/internal/compress"
 	"ndpcr/internal/daly"
@@ -22,6 +21,7 @@ import (
 	"ndpcr/internal/model"
 	"ndpcr/internal/node"
 	"ndpcr/internal/node/iostore"
+	"ndpcr/internal/node/ndp"
 	"ndpcr/internal/node/nvm"
 	"ndpcr/internal/projection"
 	"ndpcr/internal/sim"
@@ -245,7 +245,7 @@ func BenchmarkNodeCommit(b *testing.B) {
 	data := checkpointData(b, miniapps.Small)
 	b.SetBytes(int64(len(data)))
 	for i := 0; i < b.N; i++ {
-		if _, err := n.Commit(data, node.Metadata{Step: i}); err != nil {
+		if _, err := n.Commit(context.Background(), data, node.Metadata{Step: i}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -262,15 +262,12 @@ func BenchmarkNodeDrainAndRestore(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		id, err := n.Commit(data, node.Metadata{Step: i})
+		id, err := n.Commit(context.Background(), data, node.Metadata{Step: i})
 		if err != nil {
 			b.Fatal(err)
 		}
-		for {
-			if last, ok := n.Engine().LastDrained(); ok && last >= id {
-				break
-			}
-			time.Sleep(50 * time.Microsecond)
+		if err := n.WaitDurableCtx(context.Background(), id, ndp.LevelStore); err != nil {
+			b.Fatal(err)
 		}
 		n.FailLocal()
 		got, _, level, err := n.Restore(context.Background())
@@ -315,15 +312,12 @@ func BenchmarkIncrementalDrain(b *testing.B) {
 			b.SetBytes(int64(len(data)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				id, err := n.Commit(evolve(i+1), node.Metadata{Step: i})
+				id, err := n.Commit(context.Background(), evolve(i+1), node.Metadata{Step: i})
 				if err != nil {
 					b.Fatal(err)
 				}
-				for {
-					if last, ok := n.Engine().LastDrained(); ok && last >= id {
-						break
-					}
-					time.Sleep(20 * time.Microsecond)
+				if err := n.WaitDurableCtx(context.Background(), id, ndp.LevelStore); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})

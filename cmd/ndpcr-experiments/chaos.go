@@ -15,6 +15,7 @@ import (
 	"ndpcr/internal/miniapps"
 	"ndpcr/internal/node"
 	"ndpcr/internal/node/iostore"
+	"ndpcr/internal/node/ndp"
 	"ndpcr/internal/node/nvm"
 	"ndpcr/internal/report"
 )
@@ -104,19 +105,16 @@ func runChaos() error {
 			}
 		}
 		step := apps[0].app.StepCount()
-		id, err := c.Checkpoint(context.Background(), step)
+		// Ack at the store: every NDP finishes shipping this checkpoint
+		// before the next round, so the global store deterministically
+		// holds every committed ID when recovery walks the restart lines
+		// below.
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		id, err := c.Checkpoint(ctx, step, ndp.LevelStore)
+		cancel()
 		outcome := "committed"
 		if err != nil {
 			outcome = "ABORTED + rolled back: " + firstLine(err.Error())
-		} else {
-			// Let every NDP finish shipping this checkpoint before the next
-			// round, so the global store deterministically holds every
-			// committed ID when recovery walks the restart lines below.
-			for _, n := range nodes {
-				if n.Engine() != nil {
-					n.Engine().WaitDrained(id, 10*time.Second)
-				}
-			}
 		}
 		tab.AddRow(fmt.Sprintf("%d", r), fmt.Sprintf("%d", step),
 			fmt.Sprintf("%d", id), outcome)
@@ -167,7 +165,7 @@ func runChaos() error {
 			return err
 		}
 	}
-	id, err := c.Checkpoint(context.Background(), apps[0].app.StepCount())
+	id, err := c.Checkpoint(context.Background(), apps[0].app.StepCount(), ndp.LevelErasure)
 	if err != nil {
 		return fmt.Errorf("post-chaos checkpoint: %w", err)
 	}

@@ -14,6 +14,7 @@ import (
 	"ndpcr/internal/metrics"
 	"ndpcr/internal/node"
 	"ndpcr/internal/node/iostore"
+	"ndpcr/internal/node/ndp"
 	"ndpcr/internal/node/nvm"
 	"ndpcr/internal/shardstore"
 )
@@ -107,6 +108,7 @@ func runElastic() error {
 	}
 	defer store.Close()
 	reg := metrics.NewRegistry()
+	store.Instrument(reg)
 
 	gz, _ := compress.Lookup("gzip", 1)
 	newCluster := func(m int) (*cluster.Cluster, []*elasticRank, error) {
@@ -129,10 +131,6 @@ func runElastic() error {
 		if err != nil {
 			return nil, nil, err
 		}
-		// Re-instrument after the node.New calls: live counters land in
-		// the most recent registration, and the registry dedupes by name,
-		// so counts keep accumulating in reg across cluster rebuilds.
-		store.Instrument(reg)
 		return c, apps, nil
 	}
 
@@ -150,16 +148,12 @@ func runElastic() error {
 				a.shards = append(a.shards, elasticShard(g, s))
 			}
 		}
-		id, err := src.Checkpoint(context.Background(), s)
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		id, err := src.Checkpoint(ctx, s, ndp.LevelStore)
+		cancel()
 		if err != nil {
 			src.Close()
 			return err
-		}
-		for i := 0; i < sourceRanks; i++ {
-			if !src.Node(i).Engine().WaitDrained(id, 30*time.Second) {
-				src.Close()
-				return fmt.Errorf("rank %d never drained checkpoint %d", i, id)
-			}
 		}
 		lines = append(lines, id)
 		fmt.Printf("  step %d: checkpoint %d committed across %d ranks\n", s, id, sourceRanks)
@@ -209,7 +203,7 @@ func runElastic() error {
 		if expectFallback {
 			// The resynced ID space must append after all source history —
 			// including the poisoned line we fell back over.
-			id, err := c.Checkpoint(context.Background(), out.Step+1)
+			id, err := c.Checkpoint(context.Background(), out.Step+1, ndp.LevelErasure)
 			if err != nil {
 				return fmt.Errorf("post-restart checkpoint: %w", err)
 			}

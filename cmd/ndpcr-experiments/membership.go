@@ -13,6 +13,7 @@ import (
 	"ndpcr/internal/miniapps"
 	"ndpcr/internal/node"
 	"ndpcr/internal/node/iostore"
+	"ndpcr/internal/node/ndp"
 	"ndpcr/internal/node/nvm"
 	"ndpcr/internal/shardstore"
 )
@@ -114,7 +115,7 @@ func runMembership() error {
 				return err
 			}
 		}
-		id, err := c.Checkpoint(context.Background(), round)
+		id, err := c.Checkpoint(context.Background(), round, ndp.LevelErasure)
 		if err != nil {
 			return err
 		}
@@ -138,10 +139,11 @@ func runMembership() error {
 				return err
 			}
 		}
-		for i := 0; i < ranks; i++ {
-			if !c.Node(i).Engine().WaitDrained(id, 30*time.Second) {
-				return fmt.Errorf("rank %d never drained checkpoint %d", i, id)
-			}
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		err = c.WaitDurable(ctx, id, ndp.LevelStore)
+		cancel()
+		if err != nil {
+			return fmt.Errorf("checkpoint %d never drained: %w", id, err)
 		}
 	}
 

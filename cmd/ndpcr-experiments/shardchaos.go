@@ -13,6 +13,7 @@ import (
 	"ndpcr/internal/miniapps"
 	"ndpcr/internal/node"
 	"ndpcr/internal/node/iostore"
+	"ndpcr/internal/node/ndp"
 	"ndpcr/internal/node/nvm"
 	"ndpcr/internal/shardstore"
 )
@@ -99,7 +100,7 @@ func runShardChaos() error {
 				return err
 			}
 		}
-		id, err := c.Checkpoint(context.Background(), round)
+		id, err := c.Checkpoint(context.Background(), round, ndp.LevelErasure)
 		if err != nil {
 			return err
 		}
@@ -111,10 +112,11 @@ func runShardChaos() error {
 			fmt.Printf("  >>> killing iod-1 (%s) mid-drain of checkpoint %d\n", addrs[1], id)
 			servers[1].Close()
 		}
-		for i := 0; i < ranks; i++ {
-			if !c.Node(i).Engine().WaitDrained(id, 30*time.Second) {
-				return fmt.Errorf("rank %d never drained checkpoint %d", i, id)
-			}
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		err = c.WaitDurable(ctx, id, ndp.LevelStore)
+		cancel()
+		if err != nil {
+			return fmt.Errorf("checkpoint %d never drained: %w", id, err)
 		}
 	}
 

@@ -19,9 +19,11 @@ import (
 	"ndpcr/internal/compress"
 	"ndpcr/internal/iod"
 	"ndpcr/internal/lifecycle"
+	"ndpcr/internal/metrics"
 	"ndpcr/internal/miniapps"
 	"ndpcr/internal/node"
 	"ndpcr/internal/node/iostore"
+	"ndpcr/internal/node/ndp"
 	"ndpcr/internal/node/nvm"
 	"ndpcr/internal/shardstore"
 )
@@ -41,7 +43,6 @@ func main() {
 		replicas = flag.Int("replicas", 2, "replica count R per checkpoint object across -iod-addrs backends")
 		iodLanes = flag.Int("iod-lanes", 2, "concurrent transport lanes to each remote I/O node (1 = serial legacy wire)")
 		drainWin = flag.Int("drain-window", 0, "NDP send window: blocks in flight to the store per drain (0 = default)")
-		async    = flag.Bool("async", false, "commit checkpoints asynchronously: return at NVM durability with admission control instead of ErrFull")
 		drTries  = flag.Int("drain-attempts", 0, "automatic drain retries per checkpoint before permanent failure (0 = no retry)")
 		dumpMet  = flag.Bool("metrics", false, "print per-checkpoint phase timelines and pipeline metrics after the run")
 		rrRanks  = flag.Int("restart-ranks", 0, "commit elastic (framed) checkpoints and, at -fail-at, restart through the restore planner onto this many in-process targets instead of the same-shape path (0 = classic restore)")
@@ -93,8 +94,12 @@ func main() {
 		store = client
 		fmt.Printf("draining to remote I/O node at %s over %d lane(s)\n", *iodAddr, client.Lanes())
 	}
+	reg := metrics.NewRegistry()
+	if in, ok := store.(interface{ Instrument(*metrics.Registry) }); ok {
+		in.Instrument(reg)
+	}
 	n, err := node.New(node.Config{
-		Job: "demo", Rank: 0, Store: store, Codec: codec,
+		Job: "demo", Rank: 0, Store: store, Codec: codec, Metrics: reg,
 		Incremental:      *incr,
 		DrainWindow:      *drainWin,
 		MaxDrainAttempts: *drTries,
@@ -154,12 +159,7 @@ func main() {
 					fatal(err)
 				}
 			}
-			var id uint64
-			if *async {
-				id, err = n.CommitAsync(ctx, payload, meta)
-			} else {
-				id, err = n.Commit(payload, meta)
-			}
+			id, err := n.Commit(ctx, payload, meta)
 			if err != nil {
 				fatal(err)
 			}
@@ -273,8 +273,10 @@ func waitDrain(n *node.Node, want uint64) {
 	if n.Engine() == nil || want == 0 {
 		return
 	}
-	if !n.Engine().WaitDrained(want, 10*time.Second) {
-		fmt.Fprintln(os.Stderr, "warning: drain did not complete before the failure")
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := n.WaitDurableCtx(ctx, want, ndp.LevelStore); err != nil {
+		fmt.Fprintf(os.Stderr, "warning: drain did not complete before the failure: %v\n", err)
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 	"ndpcr/internal/compress"
 	"ndpcr/internal/node"
 	"ndpcr/internal/node/iostore"
+	"ndpcr/internal/node/ndp"
 	"ndpcr/internal/node/nvm"
 	"ndpcr/internal/stats"
 )
@@ -189,7 +190,7 @@ func run(steps, every int, failAt map[int]bool, seed uint64, partner, erasure bo
 			r.stepOnce()
 		}
 		if s%every == 0 {
-			if _, err := c.Checkpoint(context.Background(), s); err != nil {
+			if _, err := c.Checkpoint(context.Background(), s, ndp.LevelErasure); err != nil {
 				log.Fatal(err)
 			}
 		}

@@ -20,6 +20,7 @@ import (
 	"ndpcr/internal/compress"
 	"ndpcr/internal/node"
 	"ndpcr/internal/node/iostore"
+	"ndpcr/internal/node/ndp"
 	"ndpcr/internal/node/nvm"
 	"ndpcr/internal/stats"
 )
@@ -129,7 +130,7 @@ func main() {
 		sys.stepOnce()
 		if s%*every == 0 {
 			snap := sys.snapshot()
-			id, err := n.Commit(snap, node.Metadata{Step: s})
+			id, err := n.Commit(context.Background(), snap, node.Metadata{Step: s})
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -139,15 +140,10 @@ func main() {
 		}
 	}
 	// Wait for the NDP to finish draining, then inspect what it shipped.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if id, ok := n.Engine().LastDrained(); ok && id >= lastID {
-			break
-		}
-		if time.Now().After(deadline) {
-			log.Fatal("drain never completed")
-		}
-		time.Sleep(time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := n.WaitDurableCtx(ctx, lastID, ndp.LevelStore); err != nil {
+		log.Fatalf("drain never completed: %v", err)
 	}
 	obj, ok, _ := store.Stat(context.Background(), iostore.Key{Job: "nbody", Rank: 0, ID: lastID})
 	if !ok {

@@ -10,11 +10,11 @@ import (
 	"encoding/gob"
 	"fmt"
 	"log"
-	"time"
 
 	"ndpcr/internal/compress"
 	"ndpcr/internal/node"
 	"ndpcr/internal/node/iostore"
+	"ndpcr/internal/node/ndp"
 	"ndpcr/internal/node/nvm"
 )
 
@@ -49,7 +49,7 @@ func main() {
 		if err := gob.NewEncoder(&buf).Encode(state); err != nil {
 			log.Fatal(err)
 		}
-		id, err := n.Commit(buf.Bytes(), node.Metadata{Step: state.Iteration})
+		id, err := n.Commit(context.Background(), buf.Bytes(), node.Metadata{Step: state.Iteration})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -57,12 +57,10 @@ func main() {
 			state.Iteration, id, buf.Len())
 	}
 
-	// Give the NDP a moment to drain to the global store in the background.
-	for {
-		if id, ok := n.Engine().LastDrained(); ok && id >= 3 {
-			break
-		}
-		time.Sleep(time.Millisecond)
+	// The commit acked at NVM; wait for the NDP to drain the last
+	// checkpoint to the global store in the background.
+	if err := n.WaitDurableCtx(context.Background(), 3, ndp.LevelStore); err != nil {
+		log.Fatal(err)
 	}
 
 	// 3. Disaster: the node dies and local NVM is lost.

@@ -62,10 +62,10 @@ type Cluster struct {
 	nextID uint64
 	closed bool
 
-	// Async-mode state: propMu serializes background propagation rounds
-	// (partner copies + erasure encode run in commit order), propWG tracks
-	// them so Close waits instead of wiping state under a live round, and
-	// onAsyncErr receives deferred-abort errors.
+	// propMu serializes propagation rounds (partner copies + erasure
+	// encode run in commit order), propWG tracks background rounds so
+	// Close waits instead of wiping state under a live one, and onAsyncErr
+	// receives their deferred-abort errors.
 	propMu     sync.Mutex
 	propWG     sync.WaitGroup
 	onAsyncErr func(error)
@@ -97,9 +97,9 @@ func WithPartnerReplication() Option {
 }
 
 // WithOnAsyncError registers a handler for deferred-abort errors: a
-// CheckpointAsync whose background propagation fails rolls the round back
-// and reports the cause here (waiters also observe it as a permanent
-// failure on every rank's durability tracker).
+// Checkpoint acked at ndp.LevelNVM whose background propagation fails
+// rolls the round back and reports the cause here (waiters also observe it
+// as a permanent failure on every rank's durability tracker).
 func WithOnAsyncError(fn func(error)) Option {
 	return func(c *Cluster) { c.onAsyncErr = fn }
 }
@@ -132,7 +132,7 @@ func New(job string, store iostore.Backend, nodes []*node.Node, ranks []Rank, op
 	c.mLeakedDeletes = c.reg.Counter("ndpcr_cluster_rollback_leaked_deletes_total",
 		"rollback deletes that failed, leaving a global object leaked")
 	c.mBarrierSecs = c.reg.Histogram("ndpcr_cluster_barrier_seconds",
-		"coordination barrier: slowest rank's snapshot+commit wall time", metrics.UnitSeconds)
+		"commit barrier: slowest rank's snapshot + NVM commit wall time, at any ack level", metrics.UnitSeconds)
 	c.mEncodeSecs = c.reg.Histogram("ndpcr_cluster_erasure_encode_seconds",
 		"Reed-Solomon split+encode wall time per rank", metrics.UnitSeconds)
 	c.mPlaceSecs = c.reg.Histogram("ndpcr_cluster_erasure_place_seconds",
@@ -180,22 +180,34 @@ func (c *Cluster) Node(i int) *node.Node {
 	return c.nodes[i]
 }
 
-// Checkpoint performs one coordinated checkpoint: all ranks snapshot and
-// commit in parallel under the same global ID (the application is assumed
-// paused for the duration, as in Figure 3's timeline). It returns the
-// global checkpoint ID.
+// Checkpoint performs one coordinated checkpoint and returns its global
+// ID. All ranks snapshot and commit to local NVM in parallel under the
+// same ID (the application is assumed paused for this commit barrier, as
+// in Figure 3's timeline); each node commit is admission-controlled, so a
+// device crowded by drain-locked residents blocks until ctx ends
+// (nvm.ErrBackpressure) instead of failing ErrFull. Propagation then runs
+// partner copies and the erasure encode, in commit order across rounds,
+// while the NDP engines drain every rank to global I/O.
 //
-// Checkpoint is failure-atomic: if any rank's snapshot, commit, partner
-// copy, or erasure encode fails, every trace of the aborted global ID is
-// rolled back — committed NVM entries, partner copies, erasure shards, and
-// any blocks an NDP drain already shipped to global I/O (best-effort
-// delete) — and all nodes' checkpoint counters are resynchronized past the
-// aborted ID, so the next Checkpoint succeeds with a strictly larger ID
-// instead of failing "nodes out of sync" forever.
+// ack is the level the call waits for before returning:
+//   - ndp.LevelNVM: return right after the barrier; propagation runs in
+//     the background, and its failure is a deferred abort — the round is
+//     rolled back, the ID failed on every rank's tracker, and the cause
+//     reported through WithOnAsyncError.
+//   - ndp.LevelPartner, ndp.LevelErasure: propagation runs inline (a level
+//     the cluster does not configure is skipped).
+//   - ndp.LevelStore: propagation runs inline, then every rank's drain is
+//     awaited.
 //
-// The context bounds store-side work (rollback deletes on the abort path);
-// the snapshot/commit barrier itself is local and runs to completion.
-func (c *Cluster) Checkpoint(ctx context.Context, step int) (uint64, error) {
+// Short of LevelNVM's deferred abort, Checkpoint is failure-atomic: if a
+// snapshot, commit, propagation step, or the store wait fails, every trace
+// of the ID is rolled back — committed NVM entries, partner copies, erasure
+// shards, and any blocks an NDP drain already shipped (best-effort delete)
+// — and all nodes' counters move past the aborted ID, so the next
+// Checkpoint succeeds with a strictly larger ID. ctx bounds the admission
+// and store waits; rollback cleanup runs regardless. Levels above ack are
+// observable through WaitDurable.
+func (c *Cluster) Checkpoint(ctx context.Context, step int, ack ndp.Level) (uint64, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -224,7 +236,7 @@ func (c *Cluster) Checkpoint(ctx context.Context, step int) (uint64, error) {
 			if meta.Shards, errs[i] = c.shardCount(i, snap); errs[i] != nil {
 				return
 			}
-			id, err := c.nodes[i].Commit(snap, meta)
+			id, err := c.nodes[i].Commit(ctx, snap, meta)
 			if err != nil {
 				errs[i] = fmt.Errorf("cluster: rank %d commit: %w", i, err)
 				return
@@ -233,39 +245,41 @@ func (c *Cluster) Checkpoint(ctx context.Context, step int) (uint64, error) {
 			if id != want {
 				errs[i] = fmt.Errorf("cluster: rank %d committed id %d, expected %d (nodes out of sync)",
 					i, id, want)
-				return
-			}
-			if c.partner {
-				buddy := c.nodes[(i+1)%len(c.nodes)]
-				if err := buddy.StorePartnerCopy(i, id, snap, meta); err != nil {
-					errs[i] = fmt.Errorf("cluster: rank %d partner copy: %w", i, err)
-					return
-				}
-				c.nodes[i].Durability().MarkDurable(ndp.LevelPartner, id)
 			}
 		}(i)
 	}
 	wg.Wait()
-	// The barrier is the slowest rank's snapshot+commit: every rank stays
-	// paused until all have committed (Fig. 3's coordinated timeline).
+	// The barrier is the slowest rank's snapshot + NVM commit: every rank
+	// stays paused until all have committed. It excludes propagation and
+	// the drain, whatever the ack level.
 	c.mBarrierSecs.ObserveSince(barrierStart)
 	for _, err := range errs {
 		if err != nil {
-			c.mCkptErrors.Inc()
 			c.rollback(want, committed)
 			return 0, err
 		}
 	}
-	// Erasure encode runs after every local commit succeeded, so the
-	// coordinated checkpoint is never visible at the erasure level in a
-	// half-committed state (shards of ID n imply all ranks committed n).
-	if c.eraCode != nil {
-		if err := c.encodeErasure(want, step, snaps); err != nil {
-			c.mCkptErrors.Inc()
-			c.rollback(want, committed)
-			return 0, err
-		}
-		c.markDurable(ndp.LevelErasure, want)
+	if ack == ndp.LevelNVM {
+		c.propWG.Add(1)
+		go func() {
+			defer c.propWG.Done()
+			if err := c.propagate(want, step, snaps); err != nil {
+				c.rollback(want, committed)
+				if c.onAsyncErr != nil {
+					c.onAsyncErr(err)
+				}
+			}
+		}()
+		c.mCkpts.Inc()
+		return want, nil
+	}
+	err := c.propagate(want, step, snaps)
+	if err == nil && ack == ndp.LevelStore {
+		err = c.WaitDurable(ctx, want, ndp.LevelStore)
+	}
+	if err != nil {
+		c.rollback(want, committed)
+		return 0, err
 	}
 	c.mCkpts.Inc()
 	return want, nil
@@ -293,9 +307,10 @@ func (c *Cluster) markDurable(level ndp.Level, id uint64) {
 	}
 }
 
-// rollback erases every trace of an aborted coordinated checkpoint and
-// realigns the checkpoint counters. committed[i] is the ID rank i actually
-// committed (0 if it never did — discards there are no-ops). Each level's
+// rollback erases every trace of an aborted coordinated checkpoint, counts
+// the abort, and realigns the checkpoint counters. committed[i] is the ID
+// rank i actually committed (0 if it never did — discards there are
+// no-ops). Each level's
 // removal is idempotent, and the NDP's Discard guarantees a drain still in
 // flight deletes rather than acknowledges the dead ID. A failed global
 // delete (a leaked object on an unreachable store) is now visible — counted
@@ -304,6 +319,7 @@ func (c *Cluster) markDurable(level ndp.Level, id uint64) {
 // Rollback deletes run on a background context internally: cleanup must be
 // attempted even when the checkpoint's own context is already canceled.
 func (c *Cluster) rollback(id uint64, committed []uint64) {
+	c.mCkptErrors.Inc()
 	for i, n := range c.nodes {
 		if cid := committed[i]; cid != 0 {
 			// Local NVM, the rank's in-flight drain, and its global object.

@@ -11,6 +11,7 @@ import (
 	"ndpcr/internal/miniapps"
 	"ndpcr/internal/node"
 	"ndpcr/internal/node/iostore"
+	"ndpcr/internal/node/ndp"
 	"ndpcr/internal/node/nvm"
 )
 
@@ -80,7 +81,7 @@ func TestCoordinatedCheckpointIDs(t *testing.T) {
 		for _, a := range apps {
 			a.app.Step()
 		}
-		id, err := c.Checkpoint(context.Background(), apps[0].app.StepCount())
+		id, err := c.Checkpoint(context.Background(), apps[0].app.StepCount(), ndp.LevelErasure)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +101,7 @@ func TestRecoverFromLocal(t *testing.T) {
 		a.app.Step()
 		a.app.Step()
 	}
-	if _, err := c.Checkpoint(context.Background(), 2); err != nil {
+	if _, err := c.Checkpoint(context.Background(), 2, ndp.LevelErasure); err != nil {
 		t.Fatal(err)
 	}
 	for i, a := range apps {
@@ -132,17 +133,14 @@ func TestRecoverFromIOAfterNodeLoss(t *testing.T) {
 	for _, a := range apps {
 		a.app.Step()
 	}
-	id, err := c.Checkpoint(context.Background(), 1)
+	// Ack at the store, i.e. every rank's drain ack: the store's Latest
+	// turns visible at the first landed block, but only the ack means
+	// every block landed (the windowed sender writes them out of order).
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	id, err := c.Checkpoint(ctx, 1, ndp.LevelStore)
 	if err != nil {
 		t.Fatal(err)
-	}
-	// Wait for every rank's drain ack: the store's Latest turns visible at
-	// the first landed block, but only the ack means every block landed
-	// (the windowed sender writes them out of order).
-	for rank := 0; rank < 3; rank++ {
-		if !c.Node(rank).Engine().WaitDrained(id, 5*time.Second) {
-			t.Fatalf("rank %d never drained", rank)
-		}
 	}
 	if latest, ok, err := store.Latest(context.Background(), "job", 1); err != nil || !ok || latest < id {
 		t.Fatalf("rank 1 drained but store.Latest = %d, %v", latest, ok)
@@ -178,7 +176,7 @@ func TestRestartLineDropsPartiallyAvailable(t *testing.T) {
 	c, apps, _ := testCluster(t, 2, false)
 	apps[0].app.Step()
 	apps[1].app.Step()
-	if _, err := c.Checkpoint(context.Background(), 1); err != nil {
+	if _, err := c.Checkpoint(context.Background(), 1, ndp.LevelErasure); err != nil {
 		t.Fatal(err)
 	}
 	c.FailNode(0)
@@ -197,7 +195,7 @@ func TestRestartLinePrefersNewestCommon(t *testing.T) {
 		for _, a := range apps {
 			a.app.Step()
 		}
-		id, err := c.Checkpoint(context.Background(), s)
+		id, err := c.Checkpoint(context.Background(), s, ndp.LevelErasure)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,7 +249,7 @@ func TestNodeAccessor(t *testing.T) {
 func TestCheckpointAfterClose(t *testing.T) {
 	c, _, _ := testCluster(t, 2, false)
 	c.Close()
-	if _, err := c.Checkpoint(context.Background(), 1); err == nil {
+	if _, err := c.Checkpoint(context.Background(), 1, ndp.LevelErasure); err == nil {
 		t.Error("checkpoint after close accepted")
 	}
 	c.Close() // idempotent

@@ -10,6 +10,7 @@ import (
 	"ndpcr/internal/cluster/elastic"
 	"ndpcr/internal/node"
 	"ndpcr/internal/node/iostore"
+	"ndpcr/internal/node/ndp"
 	"ndpcr/internal/node/nvm"
 )
 
@@ -108,7 +109,7 @@ func mergedState(t *testing.T, ranks []*elasticRank) []byte {
 // NDP so store content is deterministic).
 func checkpointThrough(t *testing.T, c *Cluster, step int) uint64 {
 	t.Helper()
-	id, err := c.Checkpoint(context.Background(), step)
+	id, err := c.Checkpoint(context.Background(), step, ndp.LevelErasure)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +152,7 @@ func TestElasticRecoverMatrix(t *testing.T) {
 				t.Fatal("merged state after N→M restart differs from checkpointed state")
 			}
 			// The new incarnation must append after the source history.
-			id, err := tgt.Checkpoint(context.Background(), 2)
+			id, err := tgt.Checkpoint(context.Background(), 2, ndp.LevelErasure)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -228,7 +229,7 @@ func TestElasticRecoverOpaqueSnapshotsRejected(t *testing.T) {
 	for _, a := range apps {
 		a.app.Step()
 	}
-	id, err := c.Checkpoint(context.Background(), 1)
+	id, err := c.Checkpoint(context.Background(), 1, ndp.LevelErasure)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"ndpcr/internal/miniapps"
 	"ndpcr/internal/node"
 	"ndpcr/internal/node/iostore"
+	"ndpcr/internal/node/ndp"
 	"ndpcr/internal/node/nvm"
 )
 
@@ -60,7 +61,7 @@ func TestErasureRecoverySingleMemberLoss(t *testing.T) {
 	for _, a := range apps {
 		a.app.Step()
 	}
-	if _, err := c.Checkpoint(context.Background(), 1); err != nil {
+	if _, err := c.Checkpoint(context.Background(), 1, ndp.LevelErasure); err != nil {
 		t.Fatal(err)
 	}
 	want, err := apps[0].Snapshot()
@@ -106,7 +107,7 @@ func TestErasureWholeGroupLossDuringCheckpoint(t *testing.T) {
 		for _, a := range apps {
 			a.app.Step()
 		}
-		if _, err := c.Checkpoint(context.Background(), 1); err != nil {
+		if _, err := c.Checkpoint(context.Background(), 1, ndp.LevelErasure); err != nil {
 			t.Fatal(err)
 		}
 		for _, a := range apps {
@@ -114,7 +115,7 @@ func TestErasureWholeGroupLossDuringCheckpoint(t *testing.T) {
 		}
 		done := make(chan error, 1)
 		go func() {
-			_, err := c.Checkpoint(context.Background(), 2)
+			_, err := c.Checkpoint(context.Background(), 2, ndp.LevelErasure)
 			done <- err
 		}()
 		// Group 0 dies while the checkpoint is in flight...
@@ -158,7 +159,7 @@ func TestErasureShardHolderLoss(t *testing.T) {
 	for _, a := range apps {
 		a.app.Step()
 	}
-	if _, err := c.Checkpoint(context.Background(), 1); err != nil {
+	if _, err := c.Checkpoint(context.Background(), 1, ndp.LevelErasure); err != nil {
 		t.Fatal(err)
 	}
 	// Lose rank 0's NVM plus one shard holder: k=2 shards survive.

@@ -9,6 +9,7 @@ import (
 	"ndpcr/internal/miniapps"
 	"ndpcr/internal/node"
 	"ndpcr/internal/node/iostore"
+	"ndpcr/internal/node/ndp"
 	"ndpcr/internal/node/nvm"
 )
 
@@ -70,7 +71,7 @@ func TestRecoverDistinguishesUnreachableIO(t *testing.T) {
 	for _, a := range apps {
 		a.app.Step()
 	}
-	if _, err := c.Checkpoint(context.Background(), 1); err != nil {
+	if _, err := c.Checkpoint(context.Background(), 1, ndp.LevelErasure); err != nil {
 		t.Fatal(err)
 	}
 

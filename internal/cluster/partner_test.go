@@ -7,6 +7,7 @@ import (
 	"ndpcr/internal/miniapps"
 	"ndpcr/internal/node"
 	"ndpcr/internal/node/iostore"
+	"ndpcr/internal/node/ndp"
 	"ndpcr/internal/node/nvm"
 )
 
@@ -63,7 +64,7 @@ func TestRecoverFromPartnerAfterNodeLoss(t *testing.T) {
 		a.app.Step()
 		a.app.Step()
 	}
-	if _, err := c.Checkpoint(context.Background(), 2); err != nil {
+	if _, err := c.Checkpoint(context.Background(), 2, ndp.LevelErasure); err != nil {
 		t.Fatal(err)
 	}
 	sigs := make([]uint64, len(apps))
@@ -103,7 +104,7 @@ func TestPartnerLossOfBuddyFallsThrough(t *testing.T) {
 	for _, a := range apps {
 		a.app.Step()
 	}
-	if _, err := c.Checkpoint(context.Background(), 1); err != nil {
+	if _, err := c.Checkpoint(context.Background(), 1, ndp.LevelErasure); err != nil {
 		t.Fatal(err)
 	}
 	// Rank 1's copies live on node 2. Kill both.
@@ -120,7 +121,7 @@ func TestPartnerCopiesTrackEveryCheckpoint(t *testing.T) {
 		for _, a := range apps {
 			a.app.Step()
 		}
-		if _, err := c.Checkpoint(context.Background(), s); err != nil {
+		if _, err := c.Checkpoint(context.Background(), s, ndp.LevelErasure); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -155,14 +156,14 @@ func TestPartnerPrefersNewestAcrossLevels(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	id1, err := a.Commit([]byte("version-one"), node.Metadata{Step: 1})
+	id1, err := a.Commit(context.Background(), []byte("version-one"), node.Metadata{Step: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := a.WriteThrough(context.Background(), id1); err != nil {
 		t.Fatal(err)
 	}
-	id2, err := a.Commit([]byte("version-two"), node.Metadata{Step: 2})
+	id2, err := a.Commit(context.Background(), []byte("version-two"), node.Metadata{Step: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

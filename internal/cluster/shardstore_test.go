@@ -11,6 +11,7 @@ import (
 	"ndpcr/internal/miniapps"
 	"ndpcr/internal/node"
 	"ndpcr/internal/node/iostore"
+	"ndpcr/internal/node/ndp"
 	"ndpcr/internal/node/nvm"
 	"ndpcr/internal/shardstore"
 )
@@ -104,7 +105,7 @@ func TestShardClusterSurvivesBackendDeathMidDrain(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			id, err := c.Checkpoint(context.Background(), 1)
+			id, err := c.Checkpoint(context.Background(), 1, ndp.LevelErasure)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -112,10 +113,10 @@ func TestShardClusterSurvivesBackendDeathMidDrain(t *testing.T) {
 			// racing the kill. Whatever the interleaving, the committed
 			// line must survive on the other two backends.
 			iods[victim].srv.Close()
-			for i := 0; i < ranks; i++ {
-				if !c.Node(i).Engine().WaitDrained(id, 20*time.Second) {
-					t.Fatalf("rank %d never drained checkpoint %d past the dead backend", i, id)
-				}
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+			defer cancel()
+			if err := c.WaitDurable(ctx, id, ndp.LevelStore); err != nil {
+				t.Fatalf("checkpoint %d never drained past the dead backend: %v", id, err)
 			}
 
 			// All local state gone: recovery must come from the shard tier.
@@ -168,7 +169,7 @@ func TestShardClusterMembershipMidDrain(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	id, err := c.Checkpoint(context.Background(), 1)
+	id, err := c.Checkpoint(context.Background(), 1, ndp.LevelErasure)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,13 +181,11 @@ func TestShardClusterMembershipMidDrain(t *testing.T) {
 	if err := store.Decommission(iods[0].addr); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < ranks; i++ {
-		if !c.Node(i).Engine().WaitDrained(id, 20*time.Second) {
-			t.Fatalf("rank %d never drained checkpoint %d through the membership change", i, id)
-		}
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
+	if err := c.WaitDurable(ctx, id, ndp.LevelStore); err != nil {
+		t.Fatalf("checkpoint %d never drained through the membership change: %v", id, err)
+	}
 	if err := store.WaitDecommissioned(ctx, iods[0].addr); err != nil {
 		t.Fatal(err)
 	}
@@ -277,14 +276,11 @@ func TestShardClusterBackendDeathMidStreamedRestore(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	id, err := c.Checkpoint(context.Background(), 1)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	id, err := c.Checkpoint(ctx, 1, ndp.LevelStore)
 	if err != nil {
 		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if !c.Node(i).Engine().WaitDrained(id, 20*time.Second) {
-			t.Fatalf("rank %d never drained", i)
-		}
 	}
 	for i := 0; i < 2; i++ {
 		if err := c.FailNode(i); err != nil {

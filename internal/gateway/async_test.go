@@ -96,37 +96,51 @@ func TestSyncOverrideOnAsyncServer(t *testing.T) {
 
 // TestAsyncSaveBackpressure429: when the session NVM is pinned by
 // drain-locked residents and admission cannot succeed within the bound, the
-// async save is rejected with the typed 429 backpressure code — a signal to
-// back off, distinct from quota and rate-limit rejections.
+// save is rejected with the typed 429 backpressure code — a signal to back
+// off, distinct from quota and rate-limit rejections. Both save modes share
+// the admission-controlled commit, so a sync save is rejected the same way
+// within DrainTimeout rather than failing 500 on a full device.
 func TestAsyncSaveBackpressure429(t *testing.T) {
-	in := faultinject.New(11,
-		faultinject.Rule{Site: faultinject.SiteStorePut, Mode: faultinject.ModeStall, Delay: 2 * time.Second},
-		faultinject.Rule{Site: faultinject.SiteStorePutBlock, Mode: faultinject.ModeStall, Delay: 2 * time.Second},
-	)
-	_, ts := newTestServer(t, func(c *Config) {
-		c.Store = faultinject.WrapStore(iostore.New(nvm.Pacer{}), in)
-		c.Codec = nil
-		c.AsyncAck = true
-		c.SessionNVM = 100 << 10
-		c.DrainTimeout = 100 * time.Millisecond // admission bound
-		c.AsyncDrainTimeout = 5 * time.Second
-	})
-	c := NewClient(ts.URL, "tok-acme")
-	ctx := context.Background()
-	big := bytes.Repeat([]byte("z"), 70<<10)
+	for _, async := range []bool{true, false} {
+		mode := map[bool]string{true: "async", false: "sync"}[async]
+		t.Run(mode, func(t *testing.T) {
+			in := faultinject.New(11,
+				faultinject.Rule{Site: faultinject.SiteStorePut, Mode: faultinject.ModeStall, Delay: 2 * time.Second},
+				faultinject.Rule{Site: faultinject.SiteStorePutBlock, Mode: faultinject.ModeStall, Delay: 2 * time.Second},
+			)
+			const drainTimeout = 100 * time.Millisecond // admission bound
+			_, ts := newTestServer(t, func(c *Config) {
+				c.Store = faultinject.WrapStore(iostore.New(nvm.Pacer{}), in)
+				c.Codec = nil
+				c.AsyncAck = async
+				c.SessionNVM = 100 << 10
+				c.DrainTimeout = drainTimeout
+				c.AsyncDrainTimeout = 5 * time.Second
+			})
+			c := NewClient(ts.URL, "tok-acme")
+			ctx := context.Background()
+			big := bytes.Repeat([]byte("z"), 70<<10)
 
-	if _, err := c.SaveAsync(ctx, "acme", "run1", 0, 1, big); err != nil {
-		t.Fatalf("first async save: %v", err)
-	}
-	// The stalled store holds the drain lock on checkpoint 1 far past the
-	// admission bound: the second save must be told to back off.
-	_, err := c.SaveAsync(ctx, "acme", "run1", 0, 2, big)
-	var apiErr *APIError
-	if !errors.As(err, &apiErr) {
-		t.Fatalf("second async save: got %v, want APIError", err)
-	}
-	if apiErr.Status != http.StatusTooManyRequests || apiErr.Code != "backpressure" {
-		t.Fatalf("second async save = %d %q, want 429 backpressure", apiErr.Status, apiErr.Code)
+			if _, err := c.SaveAsync(ctx, "acme", "run1", 0, 1, big); err != nil {
+				t.Fatalf("first async save: %v", err)
+			}
+			// The stalled store holds the drain lock on checkpoint 1 far
+			// past the admission bound: the second save must be told to
+			// back off.
+			start := time.Now()
+			_, err := c.Save(ctx, "acme", "run1", 0, 2, big)
+			elapsed := time.Since(start)
+			var apiErr *APIError
+			if !errors.As(err, &apiErr) {
+				t.Fatalf("second %s save: got %v, want APIError", mode, err)
+			}
+			if apiErr.Status != http.StatusTooManyRequests || apiErr.Code != "backpressure" {
+				t.Fatalf("second %s save = %d %q, want 429 backpressure", mode, apiErr.Status, apiErr.Code)
+			}
+			if elapsed > drainTimeout+time.Second {
+				t.Errorf("second %s save took %v to back off, bound is DrainTimeout %v", mode, elapsed, drainTimeout)
+			}
+		})
 	}
 }
 

@@ -79,8 +79,8 @@ type Config struct {
 
 	// Injector enables fault injection at the gateway.handler site.
 	Injector *faultinject.Injector
-	// Metrics receives the ndpcr_gateway_* series (and every session
-	// node's series); nil creates a private registry.
+	// Metrics receives the ndpcr_gateway_* series (and the store's and
+	// every session node's series); nil creates a private registry.
 	Metrics *metrics.Registry
 	// Now substitutes the clock (tests); nil uses time.Now.
 	Now func() time.Time
@@ -146,6 +146,11 @@ func New(cfg Config) (*Server, error) {
 	if s.reg == nil {
 		s.reg = metrics.NewRegistry()
 	}
+	// The store is shared by every session: instrument it once, here, so
+	// no session rebinds its metric fields while others drain through it.
+	if in, ok := cfg.Store.(interface{ Instrument(*metrics.Registry) }); ok {
+		in.Instrument(s.reg)
+	}
 	if s.now == nil {
 		s.now = time.Now
 	}
@@ -167,7 +172,7 @@ func New(cfg Config) (*Server, error) {
 	s.mAsyncFails = s.reg.Counter("ndpcr_gateway_async_failures_total",
 		"async-acked saves rolled back because the store drain failed or timed out")
 	s.mBackpressure = s.reg.Counter("ndpcr_gateway_backpressure_rejections_total",
-		"async saves rejected because NVM admission control timed out")
+		"saves rejected because NVM admission control timed out")
 	s.mRestoreFallbacks = s.reg.Counter("ndpcr_gateway_restore_fallbacks_total",
 		"restart lines abandoned for an older line while serving restore/resume requests")
 	if cfg.DrainSlots > 0 {
@@ -495,17 +500,18 @@ func mapStoreErr(err error, what string) *apiError {
 	}
 }
 
-// handleSave commits one checkpoint snapshot (the request body). In the
-// default synchronous mode it waits for the NDP drain to land the
-// checkpoint in the global store before acknowledging: a 200 means durable
-// at the I/O level, not merely accepted, and a failed or timed-out drain
-// rolls the commit back so the run's checkpoint sequence holds only durable
-// IDs. In async mode (Config.AsyncAck or ?durable=nvm) the save returns 202
-// as soon as the snapshot is NVM-durable — under admission control, so a
-// full device blocks (bounded by DrainTimeout) instead of failing — and the
-// drain to the store resolves in the background: the acked ID either
-// reaches store durability or is rolled back and reported failed through
-// the durability endpoint, never silently lost.
+// handleSave commits one checkpoint snapshot (the request body) and settles
+// it at store durability. The commit is admission-controlled in both modes:
+// a device pinned by drain-locked residents blocks the save (bounded by
+// DrainTimeout) and then fails 429 backpressure. In the default synchronous
+// mode the save settles inline before acknowledging: a 200 means durable at
+// the I/O level, not merely accepted, and a failed or timed-out drain rolls
+// the commit back so the run's checkpoint sequence holds only durable IDs.
+// In async mode (Config.AsyncAck or ?durable=nvm) the save returns 202 at
+// NVM durability and settles in the background (bounded by
+// AsyncDrainTimeout): the acked ID either reaches store durability or is
+// rolled back and reported failed through the durability endpoint, never
+// silently lost.
 func (s *Server) handleSave(w http.ResponseWriter, r *http.Request, st *tenantState) *apiError {
 	job, rank, aerr := reqScope(r)
 	if aerr != nil {
@@ -559,91 +565,68 @@ func (s *Server) handleSave(w http.ResponseWriter, r *http.Request, st *tenantSt
 		}
 	}
 
-	if async {
-		actx, cancel := context.WithTimeout(r.Context(), s.cfg.DrainTimeout)
-		id, err := n.CommitAsync(actx, body, meta)
-		cancel()
-		if err != nil {
-			release()
-			if errors.Is(err, nvm.ErrBackpressure) {
-				s.mBackpressure.Inc()
-				return errf(http.StatusTooManyRequests, "backpressure",
-					"NVM admission wait expired (drain-locked residents hold the device): %v", err)
-			}
-			return mapStoreErr(err, "commit")
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.DrainTimeout)
+	defer cancel()
+	id, err := n.Commit(ctx, body, meta)
+	if err != nil {
+		release()
+		if errors.Is(err, nvm.ErrBackpressure) {
+			s.mBackpressure.Inc()
+			return errf(http.StatusTooManyRequests, "backpressure",
+				"NVM admission wait expired (drain-locked residents hold the device): %v", err)
 		}
-		s.finishAsync(n, id, release)
-		s.tenantBytes(st, "in", len(body))
-		writeJSON(w, http.StatusAccepted, map[string]any{
-			"id": id, "bytes": len(body), "step": step, "durable": "nvm",
-		})
+		return mapStoreErr(err, "commit")
+	}
+	// settle resolves the save at store durability: trim the local restore
+	// cache, or roll the checkpoint back and return its quota. The
+	// DurableAt re-check keeps a drain that completed in the same instant
+	// the wait aborted (engine stop, ctx expiry) acknowledged instead of
+	// rolled back. A rolled-back ID stays failed on the node's tracker, so
+	// durability pollers see an explicit failure, not silence.
+	settle := func(ctx context.Context) error {
+		err := n.WaitDurableCtx(ctx, id, ndp.LevelStore)
+		if err != nil && !n.DurableAt(id, ndp.LevelStore) {
+			n.DiscardCommit(id)
+			release()
+			return err
+		}
+		s.evictLocal(n, id)
 		return nil
 	}
 
-	id, err := n.Commit(body, meta)
-	if err != nil {
-		release()
-		return mapStoreErr(err, "commit")
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.DrainTimeout)
-	defer cancel()
-	var werr error
-	if n.Engine() != nil {
-		werr = n.WaitDurableCtx(ctx, id, ndp.LevelStore)
-	}
-	if werr != nil && !n.DurableAt(id, ndp.LevelStore) {
-		// Not durable at the I/O level: roll the checkpoint back rather
-		// than acknowledge state the store may not hold. The DurableAt
-		// re-check above keeps a drain that completed in the same instant
-		// the wait aborted (engine stop, ctx expiry) acknowledged instead
-		// of rolled back.
-		n.DiscardCommit(id)
-		release()
+	status, durable := http.StatusOK, "store"
+	if async {
+		status, durable = http.StatusAccepted, "nvm"
+		s.asyncWG.Add(1)
+		s.mAsyncPending.Inc()
+		go func() {
+			defer s.asyncWG.Done()
+			defer s.mAsyncPending.Dec()
+			ctx, cancel := context.WithTimeout(context.Background(), s.cfg.AsyncDrainTimeout)
+			defer cancel()
+			if settle(ctx) != nil {
+				s.mAsyncFails.Inc()
+			}
+		}()
+	} else if err := settle(ctx); err != nil {
 		switch {
 		case r.Context().Err() != nil:
 			return errf(http.StatusServiceUnavailable, "canceled",
 				"client went away before checkpoint %d drained; rolled back", id)
-		case errors.Is(werr, ndp.ErrStopped):
+		case errors.Is(err, ndp.ErrStopped):
 			return errf(http.StatusServiceUnavailable, "shutting_down",
 				"drain engine stopped before checkpoint %d reached the store; rolled back", id)
-		case errors.Is(werr, ndp.ErrCheckpointFailed):
+		case errors.Is(err, ndp.ErrCheckpointFailed):
 			return errf(http.StatusInternalServerError, "drain_failed",
-				"checkpoint %d permanently failed to drain: %v; rolled back", id, werr)
+				"checkpoint %d permanently failed to drain: %v; rolled back", id, err)
 		default:
 			return errf(http.StatusGatewayTimeout, "drain_timeout",
 				"checkpoint %d not drained within %s; rolled back", id, s.cfg.DrainTimeout)
 		}
 	}
-	s.evictLocal(n, id)
-
 	s.tenantBytes(st, "in", len(body))
-	writeJSON(w, http.StatusOK, map[string]any{"id": id, "bytes": len(body), "step": step, "durable": "store"})
+	writeJSON(w, status, map[string]any{"id": id, "bytes": len(body), "step": step, "durable": durable})
 	return nil
-}
-
-// finishAsync resolves one async-acked save in the background: wait
-// (bounded by AsyncDrainTimeout) for store durability, then either trim the
-// local restore cache like a synchronous save, or — on permanent drain
-// failure, shutdown, or timeout without durability — roll the checkpoint
-// back and return its quota, leaving the ID marked failed on the node's
-// durability tracker so pollers see an explicit failure, not silence.
-func (s *Server) finishAsync(n *node.Node, id uint64, release func()) {
-	s.asyncWG.Add(1)
-	s.mAsyncPending.Inc()
-	go func() {
-		defer s.asyncWG.Done()
-		defer s.mAsyncPending.Dec()
-		ctx, cancel := context.WithTimeout(context.Background(), s.cfg.AsyncDrainTimeout)
-		defer cancel()
-		err := n.WaitDurableCtx(ctx, id, ndp.LevelStore)
-		if err == nil || n.DurableAt(id, ndp.LevelStore) {
-			s.evictLocal(n, id)
-			return
-		}
-		s.mAsyncFails.Inc()
-		n.DiscardCommit(id)
-		release()
-	}()
 }
 
 // handleDurability reports one checkpoint's per-level durability:

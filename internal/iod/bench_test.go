@@ -13,6 +13,7 @@ import (
 	"ndpcr/internal/iod/wire"
 	"ndpcr/internal/node"
 	"ndpcr/internal/node/iostore"
+	"ndpcr/internal/node/ndp"
 	"ndpcr/internal/node/nvm"
 )
 
@@ -245,19 +246,15 @@ func BenchmarkStreamedRestore(b *testing.B) {
 			// Drain through the real NDP pipeline so the stored object has
 			// the production shape: one independently-compressed block per
 			// BlockSize chunk of the snapshot.
-			id, err := n.Commit(snap, node.Metadata{Step: 1})
+			id, err := n.Commit(context.Background(), snap, node.Metadata{Step: 1})
 			if err != nil {
 				b.Fatal(err)
 			}
-			deadline := time.Now().Add(30 * time.Second)
-			for {
-				if got, ok := n.Engine().LastDrained(); ok && got >= id {
-					break
-				}
-				if time.Now().After(deadline) {
-					b.Fatal("NDP drain never completed")
-				}
-				time.Sleep(time.Millisecond)
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			err = n.WaitDurableCtx(ctx, id, ndp.LevelStore)
+			cancel()
+			if err != nil {
+				b.Fatalf("NDP drain never completed: %v", err)
 			}
 			n.FailLocal()
 			b.SetBytes(int64(len(snap)))

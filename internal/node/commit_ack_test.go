@@ -13,16 +13,16 @@ import (
 	"ndpcr/internal/node/nvm"
 )
 
-func TestCommitAsyncAcksAtNVMThenReachesStore(t *testing.T) {
+func TestCommitAcksAtNVMThenReachesStore(t *testing.T) {
 	n, store := newNode(t, nil)
-	id, err := n.CommitAsync(context.Background(), snapshot(8<<10, 1), Metadata{Step: 1})
+	id, err := n.Commit(context.Background(), snapshot(8<<10, 1), Metadata{Step: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The ack point: NVM durability is already established when
-	// CommitAsync returns, before any drain work.
+	// Commit returns, before any drain work.
 	if !n.DurableAt(id, ndp.LevelNVM) {
-		t.Fatal("CommitAsync returned without NVM durability")
+		t.Fatal("Commit returned without NVM durability")
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -37,12 +37,12 @@ func TestCommitAsyncAcksAtNVMThenReachesStore(t *testing.T) {
 	}
 }
 
-// TestCommitAsyncAdmissionNeverErrFull is the admission-control regression:
-// concurrent async commits against a near-full device whose residents are
+// TestCommitAdmissionNeverErrFull is the admission-control regression:
+// concurrent commits against a near-full device whose residents are
 // drain-locked (the store is fault-stalled, so locks are held long) must
 // park and then be admitted as drains release space — never surface
 // nvm.ErrFull to the committer.
-func TestCommitAsyncAdmissionNeverErrFull(t *testing.T) {
+func TestCommitAdmissionNeverErrFull(t *testing.T) {
 	in := faultinject.New(7,
 		faultinject.Rule{Site: faultinject.SiteStorePut, Mode: faultinject.ModeStall, Delay: 5 * time.Millisecond},
 		faultinject.Rule{Site: faultinject.SiteStorePutBlock, Mode: faultinject.ModeStall, Delay: 5 * time.Millisecond},
@@ -64,7 +64,7 @@ func TestCommitAsyncAdmissionNeverErrFull(t *testing.T) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
-			ids[i], errs[i] = n.CommitAsync(ctx, snapshot(60<<10, byte(i)), Metadata{Step: i})
+			ids[i], errs[i] = n.Commit(ctx, snapshot(60<<10, byte(i)), Metadata{Step: i})
 		}(i)
 	}
 	wg.Wait()
@@ -72,7 +72,7 @@ func TestCommitAsyncAdmissionNeverErrFull(t *testing.T) {
 	for i, err := range errs {
 		if err != nil {
 			if errors.Is(err, nvm.ErrFull) {
-				t.Fatalf("commit %d surfaced ErrFull in async mode: %v", i, err)
+				t.Fatalf("commit %d surfaced ErrFull: %v", i, err)
 			}
 			t.Fatalf("commit %d: %v", i, err)
 		}
@@ -94,11 +94,11 @@ func TestCommitAsyncAdmissionNeverErrFull(t *testing.T) {
 	}
 }
 
-// TestCommitAsyncBackpressureTypedError: when the device cannot admit
+// TestCommitBackpressureTypedError: when the device cannot admit
 // within the caller's deadline because a drain-locked resident pins the
 // space, the commit fails with the typed nvm.ErrBackpressure — not ErrFull,
 // not a bare deadline error.
-func TestCommitAsyncBackpressureTypedError(t *testing.T) {
+func TestCommitBackpressureTypedError(t *testing.T) {
 	in := faultinject.New(7,
 		faultinject.Rule{Site: faultinject.SiteStorePut, Mode: faultinject.ModeStall, Delay: 2 * time.Second},
 		faultinject.Rule{Site: faultinject.SiteStorePutBlock, Mode: faultinject.ModeStall, Delay: 2 * time.Second},
@@ -107,7 +107,7 @@ func TestCommitAsyncBackpressureTypedError(t *testing.T) {
 		c.Store = faultinject.WrapStore(iostore.New(nvm.Pacer{}), in)
 		c.NVMCapacity = 100 << 10
 	})
-	if _, err := n.Commit(snapshot(70<<10, 1), Metadata{Step: 1}); err != nil {
+	if _, err := n.Commit(context.Background(), snapshot(70<<10, 1), Metadata{Step: 1}); err != nil {
 		t.Fatal(err)
 	}
 	// Wait for the drain to lock the resident (the stalled store holds the
@@ -122,7 +122,7 @@ func TestCommitAsyncBackpressureTypedError(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	_, err := n.CommitAsync(ctx, snapshot(70<<10, 2), Metadata{Step: 2})
+	_, err := n.Commit(ctx, snapshot(70<<10, 2), Metadata{Step: 2})
 	if !errors.Is(err, nvm.ErrBackpressure) {
 		t.Fatalf("got %v, want nvm.ErrBackpressure", err)
 	}
@@ -133,7 +133,7 @@ func TestCommitAsyncBackpressureTypedError(t *testing.T) {
 
 func TestWriteThroughMarksStoreDurable(t *testing.T) {
 	n, _ := newNode(t, nil)
-	id, err := n.CommitAsync(context.Background(), snapshot(4<<10, 3), Metadata{Step: 1})
+	id, err := n.Commit(context.Background(), snapshot(4<<10, 3), Metadata{Step: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestDiscardCommitFailsDurability(t *testing.T) {
 	n, _ := newNode(t, func(c *Config) {
 		c.Store = faultinject.WrapStore(iostore.New(nvm.Pacer{}), in)
 	})
-	id, err := n.CommitAsync(context.Background(), snapshot(4<<10, 4), Metadata{Step: 1})
+	id, err := n.Commit(context.Background(), snapshot(4<<10, 4), Metadata{Step: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,5 +166,23 @@ func TestDiscardCommitFailsDurability(t *testing.T) {
 	}
 	if n.DurableAt(id, ndp.LevelStore) {
 		t.Error("discarded commit reported store-durable")
+	}
+}
+
+// TestCloseUnblocksDurabilityWait: a wait parked on a level the node will
+// never reach is released by Close with ndp.ErrStopped, not left hanging.
+func TestCloseUnblocksDurabilityWait(t *testing.T) {
+	n, _ := newNode(t, nil)
+	done := make(chan error, 1)
+	go func() { done <- n.WaitDurableCtx(context.Background(), 42, ndp.LevelStore) }()
+	time.Sleep(5 * time.Millisecond) // let the waiter park
+	n.Close()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ndp.ErrStopped) {
+			t.Errorf("wait after Close: got %v, want ndp.ErrStopped", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("wait still blocked after Close")
 	}
 }

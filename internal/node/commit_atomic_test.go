@@ -24,14 +24,14 @@ func TestCommitFailureDoesNotBurnID(t *testing.T) {
 		}
 		return nil
 	})
-	if _, err := n.Commit(snapshot(1000, 1), Metadata{Step: 1}); !errors.Is(err, injected) {
+	if _, err := n.Commit(context.Background(), snapshot(1000, 1), Metadata{Step: 1}); !errors.Is(err, injected) {
 		t.Fatalf("commit error = %v, want injected", err)
 	}
 	if got := n.NextID(); got != 1 {
 		t.Fatalf("NextID after failed commit = %d, want 1 (ID not burned)", got)
 	}
 	fail = false
-	id, err := n.Commit(snapshot(1000, 1), Metadata{Step: 1})
+	id, err := n.Commit(context.Background(), snapshot(1000, 1), Metadata{Step: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,10 +47,10 @@ func TestCommitFailureDoesNotBurnID(t *testing.T) {
 // oversized snapshot rejected by the device — without any injection hooks.
 func TestCommitTooLargeDoesNotBurnID(t *testing.T) {
 	n, _ := newNode(t, func(cfg *Config) { cfg.NVMCapacity = 4096 })
-	if _, err := n.Commit(snapshot(8192, 1), Metadata{Step: 1}); !errors.Is(err, nvm.ErrTooLarge) {
+	if _, err := n.Commit(context.Background(), snapshot(8192, 1), Metadata{Step: 1}); !errors.Is(err, nvm.ErrTooLarge) {
 		t.Fatalf("oversized commit error = %v, want ErrTooLarge", err)
 	}
-	id, err := n.Commit(snapshot(1024, 1), Metadata{Step: 1})
+	id, err := n.Commit(context.Background(), snapshot(1024, 1), Metadata{Step: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestCommitTooLargeDoesNotBurnID(t *testing.T) {
 // rewind a node's counter (rewinding would reuse a poisoned ID).
 func TestResyncNextIDOnlyRaises(t *testing.T) {
 	n, _ := newNode(t, nil)
-	if _, err := n.Commit(snapshot(100, 1), Metadata{Step: 1}); err != nil {
+	if _, err := n.Commit(context.Background(), snapshot(100, 1), Metadata{Step: 1}); err != nil {
 		t.Fatal(err)
 	}
 	n.ResyncNextID(7)
@@ -81,7 +81,7 @@ func TestResyncNextIDOnlyRaises(t *testing.T) {
 // the ID, and discarding an unknown ID is a harmless no-op.
 func TestDiscardCommitErasesEveryLevel(t *testing.T) {
 	n, store := newNode(t, nil)
-	id, err := n.Commit(snapshot(5000, 1), Metadata{Step: 1})
+	id, err := n.Commit(context.Background(), snapshot(5000, 1), Metadata{Step: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestCommitIDsStayDenseAcrossFailures(t *testing.T) {
 		}
 		return nil
 	})
-	commit := func() (uint64, error) { return n.Commit(snapshot(500, 2), Metadata{Step: 1}) }
+	commit := func() (uint64, error) { return n.Commit(context.Background(), snapshot(500, 2), Metadata{Step: 1}) }
 	if id, err := commit(); err != nil || id != 1 {
 		t.Fatalf("commit 1: id=%d err=%v", id, err)
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"testing"
-	"time"
 
 	"ndpcr/internal/compress"
 	"ndpcr/internal/node/iostore"
@@ -37,31 +36,16 @@ func evolvingSnapshot(version int) []byte {
 	return b
 }
 
-func drainAll(t *testing.T, n *Node, id uint64) {
-	t.Helper()
-	deadline := time.After(5 * time.Second)
-	for {
-		if last, ok := n.Engine().LastDrained(); ok && last >= id {
-			return
-		}
-		select {
-		case <-deadline:
-			t.Fatalf("drain of %d never completed", id)
-		case <-time.After(time.Millisecond):
-		}
-	}
-}
-
 func TestIncrementalDrainShipsLess(t *testing.T) {
 	n, store := incrementalNode(t, nil, 100)
 	var lastID uint64
 	for v := 1; v <= 4; v++ {
-		id, err := n.Commit(evolvingSnapshot(v), Metadata{Step: v})
+		id, err := n.Commit(context.Background(), evolvingSnapshot(v), Metadata{Step: v})
 		if err != nil {
 			t.Fatal(err)
 		}
 		lastID = id
-		drainAll(t, n, id) // serialize drains so each version ships
+		waitDrained(t, n, id) // serialize drains so each version ships
 	}
 	// First object is full; later ones are patches and much smaller.
 	full, _ := store.Get(context.Background(), iostore.Key{Job: "job", Rank: 0, ID: 1})
@@ -94,12 +78,12 @@ func TestIncrementalRestoreReconstructsChain(t *testing.T) {
 		var lastID uint64
 		for v := 1; v <= 5; v++ {
 			want = evolvingSnapshot(v)
-			id, err := n.Commit(want, Metadata{Step: v})
+			id, err := n.Commit(context.Background(), want, Metadata{Step: v})
 			if err != nil {
 				t.Fatal(err)
 			}
 			lastID = id
-			drainAll(t, n, id)
+			waitDrained(t, n, id)
 		}
 		n.FailLocal()
 		got, meta, level, err := n.Restore(context.Background())
@@ -120,11 +104,11 @@ func TestIncrementalRestoreReconstructsChain(t *testing.T) {
 func TestIncrementalFullEveryBoundsChains(t *testing.T) {
 	n, store := incrementalNode(t, nil, 2)
 	for v := 1; v <= 7; v++ {
-		id, err := n.Commit(evolvingSnapshot(v), Metadata{Step: v})
+		id, err := n.Commit(context.Background(), evolvingSnapshot(v), Metadata{Step: v})
 		if err != nil {
 			t.Fatal(err)
 		}
-		drainAll(t, n, id)
+		waitDrained(t, n, id)
 	}
 	// With FullEvery=2 the pattern is full, patch, patch, full, patch,
 	// patch, full.
@@ -157,13 +141,13 @@ func TestIncrementalSkipsStillReconstruct(t *testing.T) {
 	// Commit three versions quickly; the engine may coalesce.
 	var lastID uint64
 	for v := 1; v <= 3; v++ {
-		id, err := n.Commit(evolvingSnapshot(v), Metadata{Step: v})
+		id, err := n.Commit(context.Background(), evolvingSnapshot(v), Metadata{Step: v})
 		if err != nil {
 			t.Fatal(err)
 		}
 		lastID = id
 	}
-	drainAll(t, n, lastID)
+	waitDrained(t, n, lastID)
 	n.FailLocal()
 	got, _, _, err := n.Restore(context.Background())
 	if err != nil {
@@ -180,22 +164,22 @@ func TestIncrementalAfterIOLevelRecovery(t *testing.T) {
 	// the pre-failure lineage; subsequent incremental drains must still
 	// reconstruct correctly (diffs are content-based).
 	n, _ := incrementalNode(t, nil, 100)
-	id, err := n.Commit(evolvingSnapshot(1), Metadata{Step: 1})
+	id, err := n.Commit(context.Background(), evolvingSnapshot(1), Metadata{Step: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	drainAll(t, n, id)
+	waitDrained(t, n, id)
 	n.FailLocal()
 	if _, _, _, err := n.Restore(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// New lineage: different content evolution after restart.
 	want := evolvingSnapshot(9)
-	id2, err := n.Commit(want, Metadata{Step: 2})
+	id2, err := n.Commit(context.Background(), want, Metadata{Step: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	drainAll(t, n, id2)
+	waitDrained(t, n, id2)
 	n.FailLocal()
 	got, meta, _, err := n.Restore(context.Background())
 	if err != nil {

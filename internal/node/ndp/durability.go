@@ -1,12 +1,12 @@
-// Durability tracking for the asynchronous checkpoint mode: a VELOC-style
-// per-node state machine that follows each checkpoint ID through the
-// redundancy hierarchy (local NVM → partner copy → erasure set → global
-// I/O) and exposes "checkpoint v is durable at level L" as a queryable and
-// awaitable watermark. The tracker is the single completion surface for
-// async commits: the engine marks LevelStore as drains land, the cluster
-// marks LevelPartner/LevelErasure as its background propagation completes,
-// and an aborted checkpoint is marked failed so waiters learn the ID will
-// never arrive instead of blocking forever.
+// Durability tracking: a VELOC-style per-node state machine that follows
+// each checkpoint ID through the redundancy hierarchy (local NVM → partner
+// copy → erasure set → global I/O) and exposes "checkpoint v is durable at
+// level L" as a queryable and awaitable watermark. The tracker is the one
+// wait primitive above the commit's NVM ack: the node marks LevelNVM on
+// commit, the engine marks LevelStore as drains land, the cluster marks
+// LevelPartner/LevelErasure as its propagation completes, and an aborted
+// checkpoint is marked failed so waiters learn the ID will never arrive
+// instead of blocking forever.
 package ndp
 
 import (
@@ -26,7 +26,7 @@ type Level int
 
 // Durability levels, in propagation order.
 const (
-	// LevelNVM: the snapshot is in node-local NVM — the async commit's ack
+	// LevelNVM: the snapshot is in node-local NVM — the commit's ack
 	// point.
 	LevelNVM Level = iota
 	// LevelPartner: the partner node holds a redundant copy.
@@ -34,8 +34,7 @@ const (
 	// LevelErasure: the erasure set holds the rank's encoded shards.
 	LevelErasure
 	// LevelStore: the global I/O store holds the full object — the
-	// strongest level, equivalent to the synchronous durable-before-ack
-	// guarantee.
+	// strongest level, what a durable-before-ack save waits for.
 	LevelStore
 
 	numLevels

@@ -114,7 +114,7 @@ func TestTrackerCloseUnblocksWaiters(t *testing.T) {
 }
 
 // TestTrackerAbandonedWaitersDoNotLeak is the regression test for the
-// WaitDrainedCtx waiter leak: a wait abandoned by context cancellation must
+// abandoned-waiter leak: a wait abandoned by context cancellation must
 // remove its own entry immediately, not linger until the next drain sweep.
 // It churns many short-deadline waiters against a tracker that never
 // completes anything and asserts the waiter set drains to zero.
@@ -140,27 +140,25 @@ func TestTrackerAbandonedWaitersDoNotLeak(t *testing.T) {
 	}
 }
 
-// TestEngineWaitDrainedCtxAbandonDoesNotLeak drives the same leak through
-// the engine surface: WaitDrainedCtx callers that give up against a drain
-// that cannot complete (empty device, nothing to drain) must leave no
-// waiter behind.
-func TestEngineWaitDrainedCtxAbandonDoesNotLeak(t *testing.T) {
+// TestEngineAbandonedWaitersDoNotLeak drives the same leak through an
+// engine's own tracker: waits that give up against a drain that cannot
+// complete (empty device, nothing to drain) must leave no waiter behind.
+func TestEngineAbandonedWaitersDoNotLeak(t *testing.T) {
 	_, _, eng := testRig(t, nil, false)
 	var wg sync.WaitGroup
 	for i := 0; i < 100; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), time.Duration(i%4+1)*time.Millisecond)
-			defer cancel()
-			if eng.WaitDrainedCtx(ctx, uint64(i+100)) {
-				t.Errorf("WaitDrainedCtx(%d) succeeded with nothing committed", i+100)
+			err := waitStore(eng, uint64(i+100), time.Duration(i%4+1)*time.Millisecond)
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Errorf("wait on %d with nothing committed: got %v, want deadline exceeded", i+100, err)
 			}
 		}(i)
 	}
 	wg.Wait()
 	if n := eng.Tracker().waiterCount(); n != 0 {
-		t.Fatalf("%d abandoned WaitDrainedCtx waiters leaked", n)
+		t.Fatalf("%d abandoned waiters leaked", n)
 	}
 }
 
@@ -177,9 +175,6 @@ func TestEngineStopDuringWaitReportsDurableDrain(t *testing.T) {
 	// Stop the engine, then ask: the tracker remembers the watermark, so
 	// even a wait that races the stop channel must report success.
 	eng.Close()
-	if !eng.WaitDrainedCtx(context.Background(), 1) {
-		t.Error("drained checkpoint reported not-durable after engine stop")
-	}
 	if err := eng.Tracker().WaitDurableCtx(context.Background(), 1, LevelStore); err != nil {
 		t.Errorf("tracker wait after stop on drained ID: %v", err)
 	}

@@ -129,8 +129,7 @@ type Engine struct {
 	runCtx    context.Context
 	runCancel context.CancelFunc
 
-	mu      sync.Mutex
-	drained chan uint64 // completion events (buffered; drop-on-full)
+	mu sync.Mutex
 	// discarded holds checkpoint IDs whose coordinated checkpoint aborted:
 	// they must never be marked drained, and any blocks already shipped are
 	// deleted. IDs are never reused after an abort (the cluster resyncs
@@ -191,7 +190,6 @@ func New(cfg Config) (*Engine, error) {
 		bell:      make(chan struct{}, 1),
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
-		drained:   make(chan uint64, 64),
 		discarded: make(map[uint64]bool),
 		attempts:  make(map[uint64]int),
 		failed:    make(map[uint64]bool),
@@ -230,61 +228,9 @@ func (e *Engine) Notify() {
 	}
 }
 
-// Drained exposes completion events (checkpoint IDs) for observers; events
-// are dropped if the observer lags.
-func (e *Engine) Drained() <-chan uint64 { return e.drained }
-
-// LastDrained returns the newest checkpoint ID fully on global I/O (the
-// tracker's LevelStore watermark).
-func (e *Engine) LastDrained() (uint64, bool) {
-	return e.tracker.Watermark(LevelStore)
-}
-
 // Tracker exposes the engine's durability tracker: the single completion
 // surface for drain progress (LevelStore watermark, per-ID failures).
 func (e *Engine) Tracker() *Tracker { return e.tracker }
-
-// WaitDrained blocks until checkpoint id (or anything newer) is fully on
-// global I/O, the timeout elapses, or the engine stops; it reports whether
-// the drain completed. Unlike polling LastDrained, the wait is woken by the
-// drain completion itself.
-func (e *Engine) WaitDrained(id uint64, timeout time.Duration) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	return e.WaitDrainedCtx(ctx, id)
-}
-
-// WaitDrainedCtx is WaitDrained bounded by a context instead of a plain
-// timeout: a canceled caller (a gateway client that disconnected, a
-// deadline) stops waiting immediately. It reports whether the drain
-// completed before ctx ended or the engine stopped.
-//
-// The wait parks on the durability tracker, which removes abandoned
-// waiters immediately (a churn of timed-out callers no longer accumulates
-// until the next completion sweep). Legacy watermark semantics hold: a
-// discarded or failed ID still reports true once a newer checkpoint has
-// drained, because its state is superseded rather than pending.
-func (e *Engine) WaitDrainedCtx(ctx context.Context, id uint64) bool {
-	wctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	go func() {
-		select {
-		case <-e.stop:
-			cancel()
-		case <-wctx.Done():
-		}
-	}()
-	err := e.tracker.WaitDurableCtx(wctx, id, LevelStore)
-	if err == nil {
-		return true
-	}
-	// Failed/discarded IDs and stop-vs-completion races resolve against
-	// the raw watermark: "id or newer on I/O" is this API's contract.
-	if wm, ok := e.tracker.Watermark(LevelStore); ok && wm >= id {
-		return true
-	}
-	return false
-}
 
 // Discard poisons a checkpoint ID whose coordinated checkpoint aborted: the
 // engine will not start draining it, and a drain already in flight deletes
@@ -588,10 +534,6 @@ func (e *Engine) drain(id uint64) error {
 		skipped = id - wm - 1
 	}
 	e.tracker.MarkDurable(LevelStore, id)
-	select {
-	case e.drained <- id:
-	default:
-	}
 	e.span(id, metrics.PhaseAck, ackStart, time.Now())
 	if ts := e.cfg.Timelines; ts != nil {
 		ts.Finish(metrics.KindCheckpoint, id)

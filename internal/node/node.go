@@ -99,7 +99,9 @@ type Config struct {
 
 	// Store is the shared global I/O store (required): in-process
 	// (iostore.Store), remote (iod.Client), or sharded+replicated
-	// (shardstore.Store).
+	// (shardstore.Store). Its owner instruments it: the node never does,
+	// because a store shared by many nodes must not have its metric
+	// fields rebound while other nodes' drains read them.
 	Store iostore.Backend
 
 	// Codec enables NDP compression of drained checkpoints; nil drains
@@ -261,9 +263,6 @@ func New(cfg Config) (*Node, error) {
 	device.Instrument(n.reg)
 	link.Instrument(n.reg)
 	n.dur.Instrument(n.reg)
-	if s, ok := cfg.Store.(interface{ Instrument(*metrics.Registry) }); ok {
-		s.Instrument(n.reg)
-	}
 	n.mCommits = n.reg.Counter("ndpcr_node_commits_total", "snapshots committed to local NVM")
 	n.mCommitSecs = n.reg.Histogram("ndpcr_node_commit_seconds", "host pause per NVM commit", metrics.UnitSeconds)
 	n.mCommitBytes = n.reg.Histogram("ndpcr_node_commit_bytes", "snapshot sizes committed", metrics.UnitBytes)
@@ -314,8 +313,8 @@ func (n *Node) Device() *nvm.Device { return n.device }
 func (n *Node) Engine() *ndp.Engine { return n.engine }
 
 // Durability exposes the node's durability tracker: per-level watermarks,
-// per-ID failure state, and awaitable completion — the single surface that
-// replaces ad-hoc WaitDrained plumbing for async checkpointing.
+// per-ID failure state, and awaitable completion — the one wait primitive
+// for every level above the commit's NVM ack.
 func (n *Node) Durability() *ndp.Tracker { return n.dur }
 
 // DurableAt reports whether checkpoint id is durable at the given level
@@ -339,43 +338,31 @@ func (n *Node) Timelines() *metrics.TimelineSet { return n.timelines }
 
 // Commit writes one application snapshot to local NVM and notifies the
 // NDP. The host "pauses" for the NVM write — any concurrent NDP NVM access
-// is excluded for the duration (§4.2.1). It returns the checkpoint ID.
+// is excluded for the duration (§4.2.1). It returns the checkpoint ID as
+// soon as the write lands: the commit acks at ndp.LevelNVM, and the NDP
+// carries the checkpoint to the higher levels in the background — await
+// any of them with WaitDurableCtx.
+//
+// Admission control replaces ErrFull: when NVM occupancy minus
+// drain-locked residents cannot admit the snapshot, the commit blocks until
+// drains release space or ctx ends, the latter surfacing a typed
+// nvm.ErrBackpressure.
 //
 // The ID is reserved only once the NVM write succeeds: a failed Commit
 // leaves nextID untouched, so the same ID is offered again on retry and a
 // single rank's NVM failure cannot desynchronize a coordinated checkpoint's
 // ID sequence.
-func (n *Node) Commit(snapshot []byte, meta Metadata) (uint64, error) {
+func (n *Node) Commit(ctx context.Context, snapshot []byte, meta Metadata) (uint64, error) {
 	n.commitMu.Lock()
 	defer n.commitMu.Unlock()
 	id, ok := n.reserveID()
 	if !ok {
 		return 0, errors.New("node: closed")
 	}
-	n.fillMeta(&meta)
-	start := time.Now()
-	if err := n.putNVM(id, snapshot, meta); err != nil {
-		return 0, fmt.Errorf("node: commit %d: %w", id, err)
+	if meta.Job == "" {
+		meta.Job = n.cfg.Job
+		meta.Rank = n.cfg.Rank
 	}
-	n.finishCommit(id, len(snapshot), start)
-	return id, nil
-}
-
-// CommitAsync is Commit with admission control instead of ErrFull: when
-// NVM occupancy minus drain-locked residents cannot admit the snapshot,
-// the commit blocks until drains release space or ctx ends — the latter
-// surfaces a typed nvm.ErrBackpressure instead of failing. The commit
-// returns as soon as the NVM write lands (the checkpoint is durable at
-// ndp.LevelNVM); background propagation carries it to the higher levels,
-// observable via the durability tracker.
-func (n *Node) CommitAsync(ctx context.Context, snapshot []byte, meta Metadata) (uint64, error) {
-	n.commitMu.Lock()
-	defer n.commitMu.Unlock()
-	id, ok := n.reserveID()
-	if !ok {
-		return 0, errors.New("node: closed")
-	}
-	n.fillMeta(&meta)
 	start := time.Now()
 	for {
 		// Admission is checked without holding the NVM pause gate: a drain
@@ -394,7 +381,17 @@ func (n *Node) CommitAsync(ctx context.Context, snapshot []byte, meta Metadata) 
 		// A drain locked a new resident between the admission check and
 		// the write; WaitAdmit sees the changed state and parks again.
 	}
-	n.finishCommit(id, len(snapshot), start)
+	n.mu.Lock()
+	n.nextID = id + 1
+	n.mu.Unlock()
+	n.dur.MarkDurable(ndp.LevelNVM, id)
+	n.timelines.Observe(metrics.KindCheckpoint, id, metrics.PhaseCommit, start, time.Now())
+	n.mCommits.Inc()
+	n.mCommitSecs.ObserveSince(start)
+	n.mCommitBytes.Observe(int64(len(snapshot)))
+	if n.engine != nil {
+		n.engine.Notify()
+	}
 	return id, nil
 }
 
@@ -409,13 +406,6 @@ func (n *Node) reserveID() (uint64, bool) {
 	return n.nextID, true
 }
 
-func (n *Node) fillMeta(meta *Metadata) {
-	if meta.Job == "" {
-		meta.Job = n.cfg.Job
-		meta.Rank = n.cfg.Rank
-	}
-}
-
 // putNVM performs the paused NVM write (§4.2.1: the host gets the full
 // device bandwidth; concurrent NDP reads are excluded).
 func (n *Node) putNVM(id uint64, snapshot []byte, meta Metadata) error {
@@ -424,22 +414,6 @@ func (n *Node) putNVM(id uint64, snapshot []byte, meta Metadata) error {
 		defer n.engine.ResumeNVM()
 	}
 	return n.device.Put(nvm.Checkpoint{ID: id, Data: snapshot, Meta: meta.toMap(id)})
-}
-
-// finishCommit confirms the ID, marks NVM-durable, records commit metrics,
-// and rings the NDP doorbell.
-func (n *Node) finishCommit(id uint64, size int, start time.Time) {
-	n.mu.Lock()
-	n.nextID = id + 1
-	n.mu.Unlock()
-	n.dur.MarkDurable(ndp.LevelNVM, id)
-	n.timelines.Observe(metrics.KindCheckpoint, id, metrics.PhaseCommit, start, time.Now())
-	n.mCommits.Inc()
-	n.mCommitSecs.ObserveSince(start)
-	n.mCommitBytes.Observe(int64(size))
-	if n.engine != nil {
-		n.engine.Notify()
-	}
 }
 
 // NextID returns the checkpoint ID the next successful Commit will use.

@@ -52,7 +52,7 @@ func TestStreamedRestoreMatchesWholeObject(t *testing.T) {
 	gz, _ := compress.Lookup("gzip", 1)
 	n, store := newNode(t, func(c *Config) { c.Codec = gz })
 	snap := snapshot(300_000, 7)
-	id, err := n.Commit(snap, Metadata{Step: 3})
+	id, err := n.Commit(context.Background(), snap, Metadata{Step: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestStreamedRestoreSmallPrefetchWindow(t *testing.T) {
 		c.RestoreWorkers = 2
 	})
 	snap := snapshot(200_000, 9) // ~49 blocks at 4096
-	id, err := n.Commit(snap, Metadata{Step: 1})
+	id, err := n.Commit(context.Background(), snap, Metadata{Step: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

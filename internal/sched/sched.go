@@ -16,6 +16,7 @@ import (
 	"ndpcr/internal/daly"
 	"ndpcr/internal/model"
 	"ndpcr/internal/node"
+	"ndpcr/internal/node/ndp"
 	"ndpcr/internal/trace"
 	"ndpcr/internal/units"
 )
@@ -149,7 +150,7 @@ func (m *Manager) Run(totalSteps int, failures []trace.Event) (Report, error) {
 		rep.VirtualTime += m.stepDuration
 
 		if step%m.every == 0 {
-			if _, err := m.cluster.Checkpoint(context.Background(), step); err != nil {
+			if _, err := m.cluster.Checkpoint(context.Background(), step, ndp.LevelErasure); err != nil {
 				return rep, fmt.Errorf("sched: checkpoint at step %d: %w", step, err)
 			}
 			rep.Checkpoints++

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"ndpcr/internal/model"
 	"ndpcr/internal/node"
 	"ndpcr/internal/node/iostore"
+	"ndpcr/internal/node/ndp"
 	"ndpcr/internal/node/nvm"
 	"ndpcr/internal/trace"
 	"ndpcr/internal/units"
@@ -229,17 +231,10 @@ func TestManagedRunIORecovery(t *testing.T) {
 	if _, err := m.Run(4, nil); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for rank := 0; rank < 2; rank++ {
-		for {
-			if id, ok := c.Node(rank).Engine().LastDrained(); ok && id >= 4 {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatal("drains never completed")
-			}
-			time.Sleep(time.Millisecond)
-		}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := c.WaitDurable(ctx, 4, ndp.LevelStore); err != nil {
+		t.Fatalf("drains never completed: %v", err)
 	}
 	rep, err := m.Run(4, []trace.Event{{At: 15, Rank: 0}})
 	if err != nil {

@@ -314,8 +314,9 @@ func Dial(addrs []string, lanes int, cfg Config) (*Store, error) {
 var _ iostore.Backend = (*Store)(nil)
 
 // Instrument registers the shard tier's placement/failover/re-replication
-// metrics with r. Registration is idempotent, so every node of a cluster
-// can instrument the shared store into the same registry.
+// metrics with r. It binds the metric fields the write and read paths use
+// without synchronization, so the store's owner calls it once, before the
+// store serves traffic — never per node or per session.
 func (s *Store) Instrument(r *metrics.Registry) {
 	r.GaugeFunc("ndpcr_shardstore_backends", "I/O backends in the shard set", func() float64 {
 		return float64(len(s.snapshot()))

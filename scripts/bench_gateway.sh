@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Runs the gateway front-end benchmarks and emits BENCH_gateway.json at the
 # repo root: end-to-end save throughput (HTTP request -> commit -> NDP
-# drain -> durable ack) and the gateway's own p99 request latency at 1, 16,
-# and 64 concurrent tenants, plus the async-acknowledge study (the same
+# drain -> durable ack) and the client-timed nearest-rank p99 save latency
+# (with its sample count) at 1, 16, and 64 concurrent tenants, plus the async-acknowledge study (the same
 # save workload acked at store durability vs at NVM durability with the
 # drain in the background, over a paced store). The JSON carries the two
 # claims the gateway tier makes: the service front door multiplexes
@@ -30,23 +30,25 @@ echo "$out" | awk '
     sub(/-[0-9]+$/, "", parts[2])
     t = parts[2]
     if (!(t in rps)) order[n++] = t
-    r = 0; p = 0
+    r = 0; p = 0; k = 0
     for (i = 2; i <= NF - 1; i++) {
         if ($(i + 1) == "p99_ms") p = $i
         if ($(i + 1) == "req/s") r = $i
+        if ($(i + 1) == "samples") k = $i + 0
     }
-    if (r + 0 > rps[t] + 0) { rps[t] = r; p99[t] = p }
+    if (r + 0 > rps[t] + 0) { rps[t] = r; p99[t] = p; smp[t] = k }
 }
 /^BenchmarkGatewaySaveAsync\/mode=/ {
     split($1, parts, "=")
     sub(/-[0-9]+$/, "", parts[2])
     m = parts[2]
-    r = 0; p = 0
+    r = 0; p = 0; k = 0
     for (i = 2; i <= NF - 1; i++) {
         if ($(i + 1) == "p99_ms") p = $i
         if ($(i + 1) == "req/s") r = $i
+        if ($(i + 1) == "samples") k = $i + 0
     }
-    if (!(m in arps) || r + 0 > arps[m] + 0) { arps[m] = r; ap99[m] = p }
+    if (!(m in arps) || r + 0 > arps[m] + 0) { arps[m] = r; ap99[m] = p; asmp[m] = k }
 }
 END {
     printf "{\n"
@@ -54,13 +56,13 @@ END {
     printf "  \"tenants\": {\n"
     for (i = 0; i < n; i++) {
         t = order[i]
-        printf "    \"%s\": {\"req_per_s\": %s, \"p99_ms\": %s}%s\n", \
-            t, rps[t], p99[t], (i < n - 1 ? "," : "")
+        printf "    \"%s\": {\"req_per_s\": %s, \"p99_ms\": %s, \"samples\": %d}%s\n", \
+            t, rps[t], p99[t], smp[t], (i < n - 1 ? "," : "")
     }
     printf "  },\n"
     printf "  \"async_ack\": {\n"
-    printf "    \"sync\": {\"req_per_s\": %s, \"p99_ms\": %s},\n", arps["sync"], ap99["sync"]
-    printf "    \"async\": {\"req_per_s\": %s, \"p99_ms\": %s}\n", arps["async"], ap99["async"]
+    printf "    \"sync\": {\"req_per_s\": %s, \"p99_ms\": %s, \"samples\": %d},\n", arps["sync"], ap99["sync"], asmp["sync"]
+    printf "    \"async\": {\"req_per_s\": %s, \"p99_ms\": %s, \"samples\": %d}\n", arps["async"], ap99["async"], asmp["async"]
     printf "  },\n"
     held = (n >= 2 && rps[order[n-1]] + 0 > (rps[order[0]] + 0) / 2) ? "true" : "false"
     aheld = (ap99["async"] + 0 > 0 && ap99["sync"] + 0 > 0 && \

@@ -16,6 +16,25 @@ fi
 
 go vet ./...
 
+# stress PATTERN PKG... runs `go test -race -count=2 -run PATTERN` over the
+# packages, after checking that every |-separated alternative of PATTERN
+# names at least one test there: a renamed test must fail the gate, not
+# silently drop out of its stress list.
+stress() {
+    local pattern=$1
+    shift
+    local names alt
+    names=$(go test -list '.*' "$@" | grep -E '^(Test|Fuzz|Example)')
+    IFS='|' read -ra alts <<< "$pattern"
+    for alt in "${alts[@]}"; do
+        if ! grep -Eq -- "$alt" <<< "$names"; then
+            echo "check.sh: -run alternative '$alt' matches no test in $*" >&2
+            exit 1
+        fi
+    done
+    go test -race -count=2 -run "$pattern" "$@"
+}
+
 go test -race ./internal/cluster/... ./internal/node/... ./internal/erasure/... \
     ./internal/metrics/... ./internal/iod/... ./internal/faultinject/... \
     ./internal/shardstore/... ./internal/gateway/...
@@ -24,7 +43,7 @@ go test -race ./internal/cluster/... ./internal/node/... ./internal/erasure/... 
 # join/decommission mid-drain, the restart-blind inventory repair, and the
 # mover-vs-stream void protocol are the riskiest interleavings in the
 # tree, so they get their own -count=2 stress on top of the package run.
-go test -race -count=2 -run 'TestShardClusterMembership|TestAddBackend|TestDecommission|TestRestartBlindRepair|TestRebalanceMover' \
+stress 'TestShardClusterMembership|TestAddBackend|TestDecommission|TestRestartBlindRepair|TestRebalanceMover' \
     ./internal/cluster/ ./internal/shardstore/
 
 # Membership chaos experiment: a backend joins and another is
@@ -34,12 +53,13 @@ go test -race -count=2 -run 'TestShardClusterMembership|TestAddBackend|TestDecom
 go run ./cmd/ndpcr-experiments -quick membership > /dev/null
 echo "check.sh: membership experiment green"
 
-# Async checkpoint mode under the race detector, re-run explicitly: the
-# durability tracker's waiter lifecycle, NVM admission control, deferred
-# aborts in background propagation, the QoS drain scheduler, and the
-# gateway's async-ack/shutdown paths are all fresh concurrency, so they
+# Ack levels and the durability wait under the race detector, re-run
+# explicitly: the tracker's waiter lifecycle (wake, close, abandonment,
+# discarded IDs), the admission-controlled commit, deferred aborts in
+# background propagation, the QoS drain scheduler, sessions opening over
+# a shared store mid-drain, and the gateway's save-settle/shutdown paths
 # get their own -count=2 stress on top of the package run above.
-go test -race -count=2 -run 'TestTracker|TestEngineWaitDrained|TestEngineStopDuringWait|TestEngineDrainRetry|TestWaitAdmit|TestCommitAsync|TestCheckpointAsync|TestAsync|TestDrainScheduler|TestSyncSaveShutdown|TestSyncOverride|TestDurabilityEndpoint' \
+stress 'TestTracker|TestEngineAbandoned|TestEngineStopDuringWait|TestEngineDrainRetry|TestDiscardedCheckpoint|TestWaitAdmit|TestCommitAcks|TestCommitAdmission|TestCommitBackpressure|TestCloseUnblocks|TestCheckpointAck|TestAsync|TestDrainScheduler|TestSessionsOpenWhileDrainsRun|TestSyncSaveShutdown|TestSyncOverride|TestDurabilityEndpoint' \
     ./internal/node/... ./internal/cluster/ ./internal/gateway/
 
 # Elastic restore planner under the race detector, re-run explicitly:
@@ -47,7 +67,7 @@ go test -race -count=2 -run 'TestTracker|TestEngineWaitDrained|TestEngineStopDur
 # fallback mid-reshape, post-recovery ID resync) and the gateway restore
 # endpoint are fresh concurrency, so they get their own -count=2 stress
 # on top of the package runs above.
-go test -race -count=2 -run 'TestElasticRecover|TestRecoverPinnedLine|TestPlanShards|TestSplitMerge|TestRestorePlanAndMembers|TestResumeFallsBack' \
+stress 'TestElasticRecover|TestRecoverPinnedLine|TestPlanShards|TestSplitMerge|TestRestorePlanAndMembers|TestResumeFallsBack' \
     ./internal/cluster/... ./internal/gateway/
 
 # Elastic restart experiment: a job checkpointed at N=8 over 3 live iod
@@ -69,7 +89,7 @@ echo "check.sh: asyncchaos experiment green"
 # and the corruption/checksum recovery paths. A mixed-version fleet rides
 # on exactly these transitions, so they get their own -count=2 stress on
 # top of the package run above.
-go test -race -count=2 -run 'TestCompat|TestCorruptFault|TestServerRejectsCorrupt' \
+stress 'TestCompat|TestCorruptFault|TestServerRejectsCorrupt' \
     ./internal/iod/
 
 # Transport benchmarks: regenerates BENCH_iod.json and fails if lane
