@@ -18,12 +18,30 @@ func waitStore(eng *Engine, id uint64, d time.Duration) error {
 	return eng.Tracker().WaitDurableCtx(ctx, id, LevelStore)
 }
 
-// TestTrackerWaitWokenByDrain parks a waiter before the doorbell rings: the
-// drain's completion itself must wake it, and a later wait on the drained
-// ID must resolve on the fast path.
-func TestTrackerWaitWokenByDrain(t *testing.T) {
+// TestWaitDrainedCompletes waits on the tracker for a drained checkpoint to
+// reach the store, then waits again on the same ID, which must resolve on the
+// fast path.
+func TestWaitDrainedCompletes(t *testing.T) {
 	dev, _, eng := testRig(t, nil, false)
 	if err := dev.Put(nvm.Checkpoint{ID: 1, Data: ckptData(5000)}); err != nil {
+		t.Fatal(err)
+	}
+	eng.Notify()
+	if err := waitStore(eng, 1, 5*time.Second); err != nil {
+		t.Fatalf("wait on checkpoint 1: %v", err)
+	}
+	// Fast path: already drained, no waiter parked.
+	if err := waitStore(eng, 1, time.Millisecond); err != nil {
+		t.Errorf("wait on drained checkpoint 1: %v", err)
+	}
+}
+
+// TestDrainedEventChannel parks a waiter before the doorbell rings: the
+// drain's completion itself must wake it, and the store watermark must then
+// name the drained checkpoint.
+func TestDrainedEventChannel(t *testing.T) {
+	dev, _, eng := testRig(t, nil, false)
+	if err := dev.Put(nvm.Checkpoint{ID: 1, Data: ckptData(100)}); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
@@ -35,10 +53,6 @@ func TestTrackerWaitWokenByDrain(t *testing.T) {
 	}
 	if id, ok := eng.Tracker().Watermark(LevelStore); !ok || id != 1 {
 		t.Errorf("store watermark = %d, %v; want 1", id, ok)
-	}
-	// Fast path: already drained, no waiter parked.
-	if err := waitStore(eng, 1, time.Millisecond); err != nil {
-		t.Errorf("wait on drained checkpoint 1: %v", err)
 	}
 }
 
